@@ -49,20 +49,19 @@
 //! repro ablation-interproc    inferred callee preconditions (§7)
 //! repro all   [--scale N]     everything above
 //!
-//!   --trace-out <path>        write a span trace of the run
 //!   --trace-format <fmt>      trace format: jsonl (default) or
 //!                             perfetto (chrome://tracing / Perfetto UI)
-//!   --metrics-out <path>      write a JSON metrics snapshot
-//!   --certs-out <path>        write the per-verdict certificate sidecar
-//!                             (re-validate with `acspec check <path>`)
-//!   --no-query-cache          disable the monotone query cache
 //!   --threads <N>             worker threads for the evaluation
 //!                             (default: available parallelism; results
 //!                             are deterministic either way)
-//!   --deadline <secs>         wall-clock deadline per procedure+config
-//!   --chaos-seed <u64>        deterministic fault-injection seed
-//!   --chaos-rate <p>          fault probability per solver query (0..1)
 //! ```
+//!
+//! The figure evaluations also take the run flags shared with `acspec`
+//! ([`acspec_core::run_flags`]): the sinks `--trace-out`, `--metrics-out`
+//! and `--certs-out` (re-validate with `acspec check <path>`), and the
+//! knobs `--no-query-cache`, `--deadline`, `--chaos-seed`, `--chaos-rate`,
+//! `--search-threads`, `--portfolio` and `--cube-split`. `corpus` and
+//! `store` take `--store-dir`.
 //!
 //! `--scale N` divides every benchmark's procedure count by `N`
 //! (default 1 = full size). All generation is seeded; output is
@@ -70,8 +69,9 @@
 //! command does not accept, and extra positional arguments are
 //! rejected with the usage text (exit code 2).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use acspec_bench::cli::{parse_args, Cli, ProfileSort, TraceFormat, USAGE};
 use acspec_bench::{
     classify, evaluate_with, format_table, BenchEval, EvalOptions, BENCH_COUNTERS, BENCH_WORKLOADS,
     PRUNE_LEVELS,
@@ -79,6 +79,7 @@ use acspec_bench::{
 use acspec_benchgen::suite::{generate_entry, SuiteEntry, SuiteKind, SUITE};
 use acspec_benchgen::Benchmark;
 use acspec_check::check_document;
+use acspec_core::run_flags::chaos_config;
 use acspec_core::{
     analyze_procedure, certs_json, certs_json_from_fragments, decode_analysis, AcspecOptions,
     ConfigName, NullObserver, ProcCerts, SessionObserver, StageTotals, StoreSession, TeeObserver,
@@ -87,221 +88,11 @@ use acspec_core::{
 use acspec_ir::arena::{Node, TermArena, TermId};
 use acspec_ir::{desugar_procedure, DesugarOptions, Formula};
 use acspec_store::{LoadResult, ResultStore};
-use acspec_telemetry::json::write_f64;
+use acspec_telemetry::json::{write_f64, write_str};
 use acspec_telemetry::{max_rss_kb, opt, Manifest, MetricsRegistry, Trace, Value};
 use acspec_vcgen::analyzer::{AnalyzerConfig, ProcAnalyzer};
-use acspec_vcgen::chaos::ChaosConfig;
 use acspec_vcgen::stage::Stage;
 use acspec_vcgen::wp::wp_interned;
-
-const USAGE: &str = "usage: repro <fig5|fig6|fig7|fig8|fig9|profile|bench|bench-parallel|\
-trace-diff|corpus|store|ablation-incremental|ablation-normalize|ablation-interproc|all> \
-[--scale N] [--top K] [--top-terms] [--sort wall|queries|conflicts] [--best-of N] [--out path] \
-[--trace-out path] [--trace-format jsonl|perfetto] [--metrics-out path] \
-[--certs-out path] [--no-query-cache] [--threads N] [--deadline secs] \
-[--chaos-seed u64] [--chaos-rate p] [--portfolio] [--cube-split K] \
-[--search-threads N] [--restart-base N]\n\
-       repro corpus <list|run|bless|diff> [--scenario NAME] [--corpus-dir DIR] [--report path] \
-[--store-dir DIR] [--store-chaos-seed u64] [--store-chaos-rate p]\n\
-       repro store <stat|gc|verify> --store-dir DIR";
-
-const COMMANDS: &[&str] = &[
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "profile",
-    "bench",
-    "bench-parallel",
-    "trace-diff",
-    "corpus",
-    "store",
-    "ablation-incremental",
-    "ablation-normalize",
-    "ablation-interproc",
-    "all",
-];
-
-const CORPUS_ACTIONS: &[&str] = &["list", "run", "bless", "diff"];
-
-const STORE_ACTIONS: &[&str] = &["stat", "gc", "verify"];
-
-/// The analyzer-knob flags accepted by every figure evaluation.
-const KNOB_FLAGS: &[&str] = &[
-    "--no-query-cache",
-    "--threads",
-    "--deadline",
-    "--chaos-seed",
-    "--chaos-rate",
-    "--portfolio",
-    "--cube-split",
-    "--search-threads",
-    "--restart-base",
-];
-
-/// The telemetry/certificate sink flags accepted by every figure
-/// evaluation.
-const SINK_FLAGS: &[&str] = &[
-    "--trace-out",
-    "--trace-format",
-    "--metrics-out",
-    "--certs-out",
-];
-
-/// Which flags each command accepts. A flag outside its command's row
-/// is a usage error — `repro corpus --scale 4` or `repro fig5
-/// --best-of 2` must fail loudly instead of silently ignoring the
-/// knob.
-fn allowed_flags(cmd: &str) -> Vec<&'static str> {
-    let mut allowed: Vec<&'static str> = Vec::new();
-    match cmd {
-        "fig5" => allowed.push("--scale"),
-        "fig6" | "fig7" | "fig8" | "fig9" | "all" => {
-            allowed.push("--scale");
-            allowed.extend(SINK_FLAGS);
-            allowed.extend(KNOB_FLAGS);
-        }
-        "profile" => {
-            allowed.extend(["--scale", "--top", "--top-terms", "--sort"]);
-            allowed.extend(SINK_FLAGS);
-            allowed.extend(KNOB_FLAGS);
-        }
-        "bench" | "bench-parallel" => {
-            allowed.extend(["--scale", "--best-of", "--out"]);
-            allowed.extend(KNOB_FLAGS);
-        }
-        "trace-diff" => allowed.push("--top"),
-        "corpus" => allowed.extend([
-            "--scenario",
-            "--corpus-dir",
-            "--report",
-            "--store-dir",
-            "--store-chaos-seed",
-            "--store-chaos-rate",
-        ]),
-        "store" => allowed.push("--store-dir"),
-        "ablation-incremental" => allowed.extend(["--scale", "--no-query-cache"]),
-        "ablation-normalize" | "ablation-interproc" => allowed.push("--scale"),
-        _ => unreachable!("parse_args validated the command"),
-    }
-    allowed
-}
-
-/// `--trace-format`: how `--trace-out` is rendered.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    Jsonl,
-    Perfetto,
-}
-
-/// `--sort`: the ranking key for `repro profile`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ProfileSort {
-    Wall,
-    Queries,
-    Conflicts,
-}
-
-struct Cli {
-    cmd: String,
-    scale: usize,
-    top: usize,
-    top_terms: bool,
-    sort: ProfileSort,
-    best_of: usize,
-    out: Option<String>,
-    trace_out: Option<String>,
-    trace_format: TraceFormat,
-    metrics_out: Option<String>,
-    certs_out: Option<String>,
-    query_cache: bool,
-    threads: Option<usize>,
-    deadline: Option<f64>,
-    chaos_seed: Option<u64>,
-    chaos_rate: Option<f64>,
-    /// `--portfolio`: race diversified solver forks on hard queries.
-    portfolio: bool,
-    /// `--cube-split K`: cube-and-conquer ALL-SAT over the top-K
-    /// indicator branching variables.
-    cube_split: Option<u32>,
-    /// `--search-threads N`: search-worker budget shared by procedure
-    /// fan-out and in-query parallelism (0/absent = follow --threads).
-    search_threads: Option<usize>,
-    /// `--restart-base N`: Luby restart base interval (conflicts).
-    restart_base: Option<u64>,
-    /// Positional file arguments (only `trace-diff` takes any).
-    files: Vec<String>,
-    /// `corpus` action: list, run, bless, or diff.
-    corpus_action: Option<String>,
-    /// `--scenario`: restrict `corpus` to one scenario by name.
-    scenario: Option<String>,
-    /// `--corpus-dir`: override the corpus root directory.
-    corpus_dir: Option<String>,
-    /// `--report`: write a JSON per-scenario report (`corpus run`).
-    report: Option<String>,
-    /// `store` action: stat, gc, or verify.
-    store_action: Option<String>,
-    /// `--store-dir`: the persistent result store directory.
-    store_dir: Option<String>,
-    /// `--store-chaos-seed`: deterministic store I/O fault seed.
-    store_chaos_seed: Option<u64>,
-    /// `--store-chaos-rate`: store I/O fault probability (0..=1).
-    store_chaos_rate: Option<f64>,
-}
-
-/// The analyzer-affecting knobs threaded through every figure's
-/// evaluation: the query-cache escape hatch plus the fault-tolerance
-/// controls (wall-clock deadline, deterministic fault injection).
-#[derive(Clone, Copy)]
-struct RunKnobs {
-    query_cache: bool,
-    threads: Option<usize>,
-    deadline: Option<Duration>,
-    chaos: Option<ChaosConfig>,
-    portfolio: bool,
-    cube_split: Option<u32>,
-    search_threads: Option<usize>,
-    restart_base: Option<u64>,
-    certify: bool,
-}
-
-impl Cli {
-    fn knobs(&self) -> RunKnobs {
-        RunKnobs {
-            query_cache: self.query_cache,
-            threads: self.threads,
-            certify: self.certs_out.is_some(),
-            deadline: self.deadline.map(Duration::from_secs_f64),
-            // Install the chaos harness only when a chaos flag was
-            // explicitly given, so flagless runs stay byte-identical.
-            chaos: (self.chaos_seed.is_some() || self.chaos_rate.is_some()).then(|| {
-                ChaosConfig::new(self.chaos_seed.unwrap_or(0), self.chaos_rate.unwrap_or(0.0))
-            }),
-            portfolio: self.portfolio,
-            cube_split: self.cube_split,
-            search_threads: self.search_threads,
-            restart_base: self.restart_base,
-        }
-    }
-}
-
-/// Keeps the default panic-hook backtrace off stderr for the panics
-/// the chaos harness injects on purpose — they are caught by the
-/// worker loop and reported as incidents. Real panics still reach the
-/// previous hook.
-fn silence_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.starts_with("chaos:"));
-        if !injected {
-            prev(info);
-        }
-    }));
-}
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -309,349 +100,14 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cli = Cli {
-        cmd: String::new(),
-        scale: 1,
-        top: 10,
-        top_terms: false,
-        sort: ProfileSort::Wall,
-        best_of: 3,
-        out: None,
-        trace_out: None,
-        trace_format: TraceFormat::Jsonl,
-        metrics_out: None,
-        certs_out: None,
-        // Honors ACSPEC_NO_QUERY_CACHE (the CI cache-off matrix leg);
-        // `--no-query-cache` then forces it off regardless.
-        query_cache: AnalyzerConfig::default().query_cache,
-        threads: None,
-        deadline: None,
-        chaos_seed: None,
-        chaos_rate: None,
-        portfolio: false,
-        cube_split: None,
-        search_threads: None,
-        restart_base: None,
-        files: Vec::new(),
-        corpus_action: None,
-        scenario: None,
-        corpus_dir: None,
-        report: None,
-        store_action: None,
-        store_dir: None,
-        store_chaos_seed: None,
-        store_chaos_rate: None,
-    };
-    // Every flag consumed, in order; validated against the command's
-    // whitelist once the command is known (flags may precede it).
-    let mut seen_flags: Vec<&'static str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(flag) = args.get(i).filter(|a| a.starts_with('-')) {
-            if let Some(known) = KNOB_FLAGS
-                .iter()
-                .chain(SINK_FLAGS)
-                .chain(&[
-                    "--scale",
-                    "--top",
-                    "--top-terms",
-                    "--sort",
-                    "--best-of",
-                    "--out",
-                    "--scenario",
-                    "--corpus-dir",
-                    "--report",
-                    "--store-dir",
-                    "--store-chaos-seed",
-                    "--store-chaos-rate",
-                ])
-                .find(|k| **k == flag.as_str())
-            {
-                seen_flags.push(known);
-            }
-        }
-        match args[i].as_str() {
-            "--scale" => {
-                cli.scale = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage_error("--scale needs a positive integer"));
-                i += 2;
-            }
-            "--top" => {
-                cli.top = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage_error("--top needs a positive integer"));
-                i += 2;
-            }
-            "--top-terms" => {
-                cli.top_terms = true;
-                i += 1;
-            }
-            "--sort" => {
-                cli.sort = match args.get(i + 1).map(String::as_str) {
-                    Some("wall") => ProfileSort::Wall,
-                    Some("queries") => ProfileSort::Queries,
-                    Some("conflicts") => ProfileSort::Conflicts,
-                    _ => usage_error("--sort needs one of: wall, queries, conflicts"),
-                };
-                i += 2;
-            }
-            "--best-of" => {
-                cli.best_of = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage_error("--best-of needs a positive integer"));
-                i += 2;
-            }
-            "--out" => {
-                cli.out = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--out needs a path"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--trace-format" => {
-                cli.trace_format = match args.get(i + 1).map(String::as_str) {
-                    Some("jsonl") => TraceFormat::Jsonl,
-                    Some("perfetto") => TraceFormat::Perfetto,
-                    _ => usage_error("--trace-format needs one of: jsonl, perfetto"),
-                };
-                i += 2;
-            }
-            "--trace-out" => {
-                cli.trace_out = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--trace-out needs a path"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--metrics-out" => {
-                cli.metrics_out = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--metrics-out needs a path"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--certs-out" => {
-                cli.certs_out = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--certs-out needs a path"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--no-query-cache" => {
-                cli.query_cache = false;
-                i += 1;
-            }
-            "--threads" => {
-                cli.threads = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage_error("--threads needs a positive integer")),
-                );
-                i += 2;
-            }
-            "--deadline" => {
-                cli.deadline = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|secs| !secs.is_nan() && *secs >= 0.0)
-                        .unwrap_or_else(|| {
-                            usage_error("--deadline needs a non-negative number of seconds")
-                        }),
-                );
-                i += 2;
-            }
-            "--chaos-seed" => {
-                cli.chaos_seed = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| usage_error("--chaos-seed needs an unsigned integer")),
-                );
-                i += 2;
-            }
-            "--chaos-rate" => {
-                cli.chaos_rate = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|rate| (0.0..=1.0).contains(rate))
-                        .unwrap_or_else(|| {
-                            usage_error("--chaos-rate needs a probability in 0..=1")
-                        }),
-                );
-                i += 2;
-            }
-            "--portfolio" => {
-                cli.portfolio = true;
-                i += 1;
-            }
-            "--cube-split" => {
-                cli.cube_split = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<u32>().ok())
-                        .unwrap_or_else(|| {
-                            usage_error("--cube-split needs a non-negative integer")
-                        }),
-                );
-                i += 2;
-            }
-            "--search-threads" => {
-                cli.search_threads = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| {
-                            usage_error("--search-threads needs a positive integer")
-                        }),
-                );
-                i += 2;
-            }
-            "--restart-base" => {
-                cli.restart_base = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| {
-                            usage_error("--restart-base needs a positive conflict count")
-                        }),
-                );
-                i += 2;
-            }
-            "--scenario" => {
-                cli.scenario = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--scenario needs a scenario name"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--corpus-dir" => {
-                cli.corpus_dir = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--corpus-dir needs a directory"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--report" => {
-                cli.report = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--report needs a path"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--store-dir" => {
-                cli.store_dir = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| usage_error("--store-dir needs a directory"))
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--store-chaos-seed" => {
-                cli.store_chaos_seed = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| {
-                            usage_error("--store-chaos-seed needs an unsigned integer")
-                        }),
-                );
-                i += 2;
-            }
-            "--store-chaos-rate" => {
-                cli.store_chaos_rate = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|rate| (0.0..=1.0).contains(rate))
-                        .unwrap_or_else(|| {
-                            usage_error("--store-chaos-rate needs a probability in 0..=1")
-                        }),
-                );
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            flag if flag.starts_with('-') => {
-                usage_error(&format!("unknown flag `{flag}`"));
-            }
-            word if cli.cmd.is_empty() => {
-                if !COMMANDS.contains(&word) {
-                    usage_error(&format!("unknown command `{word}`"));
-                }
-                cli.cmd = word.to_string();
-                i += 1;
-            }
-            action if cli.cmd == "corpus" && cli.corpus_action.is_none() => {
-                if !CORPUS_ACTIONS.contains(&action) {
-                    usage_error(&format!(
-                        "unknown corpus action `{action}` (expected one of: list, run, bless, diff)"
-                    ));
-                }
-                cli.corpus_action = Some(action.to_string());
-                i += 1;
-            }
-            action if cli.cmd == "store" && cli.store_action.is_none() => {
-                if !STORE_ACTIONS.contains(&action) {
-                    usage_error(&format!(
-                        "unknown store action `{action}` (expected one of: stat, gc, verify)"
-                    ));
-                }
-                cli.store_action = Some(action.to_string());
-                i += 1;
-            }
-            file if cli.cmd == "trace-diff" && cli.files.len() < 2 => {
-                cli.files.push(file.to_string());
-                i += 1;
-            }
-            extra => {
-                usage_error(&format!("unexpected argument `{extra}`"));
-            }
-        }
-    }
-    if cli.cmd.is_empty() {
-        cli.cmd = "all".to_string();
-    }
-    if cli.cmd == "trace-diff" && cli.files.len() != 2 {
-        usage_error("trace-diff needs exactly two trace files: repro trace-diff <a> <b>");
-    }
-    if cli.cmd == "corpus" && cli.corpus_action.is_none() {
-        usage_error("corpus needs an action: repro corpus <list|run|bless|diff>");
-    }
-    if cli.cmd == "store" {
-        if cli.store_action.is_none() {
-            usage_error("store needs an action: repro store <stat|gc|verify>");
-        }
-        if cli.store_dir.is_none() {
-            usage_error("store needs --store-dir <DIR>");
-        }
-    }
-    let allowed = allowed_flags(&cli.cmd);
-    for flag in seen_flags {
-        if !allowed.contains(&flag) {
-            usage_error(&format!("`{flag}` is not valid for `repro {}`", cli.cmd));
-        }
-    }
-    cli
-}
-
 fn main() {
     let t0 = Instant::now();
-    let cli = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_args(&args).unwrap_or_else(|e| usage_error(&e));
+    if cli.help {
+        println!("{USAGE}");
+        return;
+    }
     if cli.cmd == "trace-diff" {
         trace_diff(&cli);
         return;
@@ -664,19 +120,16 @@ fn main() {
         store_cmd(&cli);
         return;
     }
-    let knobs = cli.knobs();
-    if knobs.chaos.is_some() {
-        silence_injected_panics();
-    }
+    let opts = eval_opts(&cli);
     if cli.cmd == "bench" {
-        bench(&cli, knobs);
+        bench(&cli, opts);
         return;
     }
     if cli.cmd == "bench-parallel" {
-        bench_parallel(&cli, knobs);
+        bench_parallel(&cli, opts);
         return;
     }
-    let telemetry_on = cli.trace_out.is_some() || cli.metrics_out.is_some();
+    let telemetry_on = cli.run.telemetry_on();
     let needs_trace = telemetry_on || cli.cmd == "profile";
     // CDCL search summaries ride along whenever a trace or metrics sink
     // was requested; a bare `profile` keeps the solver uninstrumented.
@@ -693,30 +146,30 @@ fn main() {
     let mut certs: Vec<ProcCerts> = Vec::new();
     match cli.cmd.as_str() {
         "fig5" => fig5(scale),
-        "fig6" => fig6(scale, observer, knobs, &mut certs),
-        "fig7" => fig7(scale, observer, knobs, &mut certs),
-        "fig8" => fig8(scale, observer, knobs, &mut certs),
-        "fig9" => fig9(scale, observer, knobs, &mut certs),
+        "fig6" => fig6(scale, observer, opts, &mut certs),
+        "fig7" => fig7(scale, observer, opts, &mut certs),
+        "fig8" => fig8(scale, observer, opts, &mut certs),
+        "fig9" => fig9(scale, observer, opts, &mut certs),
         "profile" => {} // runs below, after the observer is finished
-        "ablation-incremental" => ablation_incremental(scale, knobs.query_cache),
+        "ablation-incremental" => ablation_incremental(scale, opts.analyzer.query_cache),
         "ablation-normalize" => ablation_normalize(scale),
         "ablation-interproc" => ablation_interproc(scale),
         "all" => {
             fig5(scale);
-            fig6(scale, observer, knobs, &mut certs);
-            fig7(scale, observer, knobs, &mut certs);
-            fig8(scale, observer, knobs, &mut certs);
-            fig9(scale, observer, knobs, &mut certs);
-            ablation_incremental(scale, knobs.query_cache);
+            fig6(scale, observer, opts, &mut certs);
+            fig7(scale, observer, opts, &mut certs);
+            fig8(scale, observer, opts, &mut certs);
+            fig9(scale, observer, opts, &mut certs);
+            ablation_incremental(scale, opts.analyzer.query_cache);
             ablation_normalize(scale);
             ablation_interproc(scale);
         }
         _ => unreachable!("parse_args validated the command"),
     }
     if cli.cmd == "profile" {
-        fig9_workload(scale, &mut telemetry, knobs);
+        fig9_workload(scale, &mut telemetry, opts);
     }
-    if let Some(path) = &cli.certs_out {
+    if let Some(path) = &cli.run.certs_out {
         std::fs::write(path, certs_json(&certs))
             .unwrap_or_else(|e| usage_error(&format!("cannot write {path}: {e}")));
         let n_certs: usize = certs.iter().map(|p| p.store.certs.len()).sum();
@@ -738,29 +191,20 @@ fn main() {
                 profile_top_terms(scale, cli.top);
             }
         }
-        write_sinks(&cli, &out);
+        write_sinks(&cli, &opts, &out);
     }
 }
 
 /// The evaluation options for this invocation: the defaults with the
-/// `--no-query-cache`, `--deadline`, and `--chaos-*` knobs applied.
-fn eval_opts(knobs: RunKnobs) -> EvalOptions {
+/// run flags and `--threads` applied.
+fn eval_opts(cli: &Cli) -> EvalOptions {
     let mut opts = EvalOptions::default();
-    opts.analyzer.query_cache = knobs.query_cache;
-    opts.analyzer.deadline = knobs.deadline;
-    opts.analyzer.chaos = knobs.chaos;
-    opts.analyzer.portfolio = knobs.portfolio;
-    opts.certify = knobs.certify;
-    if let Some(k) = knobs.cube_split {
-        opts.analyzer.cube_split = k;
-    }
-    if let Some(base) = knobs.restart_base {
-        opts.analyzer.restart_base = base;
-    }
-    if let Some(threads) = knobs.threads {
+    cli.run.apply(&mut opts.analyzer);
+    opts.certify = cli.run.certs_out.is_some();
+    if let Some(threads) = cli.threads {
         opts.threads = threads;
     }
-    if let Some(n) = knobs.search_threads {
+    if let Some(n) = cli.run.search_threads {
         opts.search_threads = n;
     }
     opts
@@ -776,63 +220,33 @@ fn report_incidents(evals: &[(Benchmark, BenchEval)]) {
     }
 }
 
-fn write_sinks(cli: &Cli, out: &TelemetryOutput) {
-    if !(cli.trace_out.is_some() || cli.metrics_out.is_some()) {
+fn write_sinks(cli: &Cli, opts: &EvalOptions, out: &TelemetryOutput) {
+    if !cli.run.telemetry_on() {
         return;
     }
+    let mut options = vec![opt(
+        "conflict_budget",
+        opts.analyzer
+            .conflict_budget
+            .map_or("none".into(), |b| b.to_string()),
+    )];
+    options.extend(cli.run.manifest_options(&opts.analyzer));
     let manifest = Manifest {
         tool: "repro".into(),
         command: cli.cmd.clone(),
         scale: Some(cli.scale as u64),
-        threads: Some(cli.threads.unwrap_or(EvalOptions::default().threads) as u64),
-        configs: EvalOptions::default()
-            .configs
-            .iter()
-            .map(|c| c.to_string())
-            .collect(),
-        options: {
-            let mut options = vec![
-                opt(
-                    "conflict_budget",
-                    EvalOptions::default()
-                        .analyzer
-                        .conflict_budget
-                        .map_or("none".into(), |b| b.to_string()),
-                ),
-                opt("query_cache", cli.query_cache),
-            ];
-            if let Some(secs) = cli.deadline {
-                options.push(opt("deadline_secs", secs));
-            }
-            if let Some(seed) = cli.chaos_seed {
-                options.push(opt("chaos_seed", seed));
-            }
-            if let Some(rate) = cli.chaos_rate {
-                options.push(opt("chaos_rate", rate));
-            }
-            if cli.portfolio {
-                options.push(opt("portfolio", true));
-            }
-            if let Some(k) = cli.cube_split {
-                options.push(opt("cube_split", k));
-            }
-            if let Some(n) = cli.search_threads {
-                options.push(opt("search_threads", n));
-            }
-            if let Some(base) = cli.restart_base {
-                options.push(opt("restart_base", base));
-            }
-            options
-        },
+        threads: Some(opts.threads as u64),
+        configs: opts.configs.iter().map(|c| c.to_string()).collect(),
+        options,
     };
-    if let Some(path) = &cli.trace_out {
+    if let Some(path) = &cli.run.trace_out {
         match cli.trace_format {
             TraceFormat::Jsonl => out.write_trace(path, Some(&manifest)),
             TraceFormat::Perfetto => out.write_trace_perfetto(path, Some(&manifest)),
         }
         .unwrap_or_else(|e| usage_error(&format!("cannot write {path}: {e}")));
     }
-    if let Some(path) = &cli.metrics_out {
+    if let Some(path) = &cli.run.metrics_out {
         out.write_metrics(path, Some(&manifest))
             .unwrap_or_else(|e| usage_error(&format!("cannot write {path}: {e}")));
     }
@@ -841,8 +255,8 @@ fn write_sinks(cli: &Cli, out: &TelemetryOutput) {
 /// One instrumented run of a perf-snapshot workload ([`BENCH_WORKLOADS`]
 /// names them): CDCL search summaries on, wall clock around the whole
 /// evaluation. Returns the wall seconds and the run's metrics registry.
-fn bench_run(kinds: &[SuiteKind], scale: usize, knobs: RunKnobs) -> (f64, MetricsRegistry) {
-    acspec_bench::bench_workload_run(kinds, scale, &eval_opts(knobs))
+fn bench_run(kinds: &[SuiteKind], scale: usize, opts: EvalOptions) -> (f64, MetricsRegistry) {
+    acspec_bench::bench_workload_run(kinds, scale, &opts)
 }
 
 /// Best-of-N [`bench_run`]: minimum wall wins; counters are
@@ -850,12 +264,12 @@ fn bench_run(kinds: &[SuiteKind], scale: usize, knobs: RunKnobs) -> (f64, Metric
 fn bench_best_of(
     kinds: &[SuiteKind],
     scale: usize,
-    knobs: RunKnobs,
+    opts: EvalOptions,
     best_of: usize,
 ) -> (f64, MetricsRegistry) {
     let mut best: Option<(f64, MetricsRegistry)> = None;
     for _ in 0..best_of {
-        let (wall, metrics) = bench_run(kinds, scale, knobs);
+        let (wall, metrics) = bench_run(kinds, scale, opts);
         let better = match &best {
             None => true,
             Some((w, _)) => wall < *w,
@@ -888,12 +302,23 @@ fn bench_hist_entry(m: &MetricsRegistry, name: &str) -> String {
     s
 }
 
+/// The body of a snapshot's `"counters"` object: one line per
+/// [`BENCH_COUNTERS`] entry.
+fn push_counters(json: &mut String, metrics: &MetricsRegistry) {
+    let lines: Vec<String> = BENCH_COUNTERS
+        .iter()
+        .map(|name| format!("        \"{name}\": {}", metrics.counter(name)))
+        .collect();
+    json.push_str(&lines.join(",\n"));
+    json.push('\n');
+}
+
 /// `repro bench`: the perf-regression snapshot. Runs every
 /// [`BENCH_WORKLOADS`] entry best-of-N (minimum wall wins; counters are
 /// deterministic and identical across reps), then writes the
 /// `BENCH_solver.json` baseline: wall seconds, peak RSS, solver
 /// counters, and the LBD / conflicts-per-restart histogram summaries.
-fn bench(cli: &Cli, knobs: RunKnobs) {
+fn bench(cli: &Cli, opts: EvalOptions) {
     let out_path = cli.out.as_deref().unwrap_or("BENCH_solver.json");
     let scale = cli.scale;
     println!(
@@ -909,7 +334,7 @@ fn bench(cli: &Cli, knobs: RunKnobs) {
     // counter sets differ — an earlier snapshot gated the identical
     // large-suite evaluation under two labels.
     for (wi, (workload, kinds)) in BENCH_WORKLOADS.iter().enumerate() {
-        let (wall, metrics) = bench_best_of(kinds, scale, knobs, cli.best_of);
+        let (wall, metrics) = bench_best_of(kinds, scale, opts, cli.best_of);
         let maxrss = max_rss_kb();
         println!(
             "{workload} --scale {scale}: wall {wall:.3}s, maxrss {maxrss} kB, {} queries, \
@@ -923,14 +348,7 @@ fn bench(cli: &Cli, knobs: RunKnobs) {
         write_f64(&mut json, (wall * 1e6).round() / 1e6);
         json.push_str(&format!(",\n      \"maxrss_kb\": {maxrss},\n"));
         json.push_str("      \"counters\": {\n");
-        for (ci, name) in BENCH_COUNTERS.iter().enumerate() {
-            json.push_str(&format!("        \"{name}\": {}", metrics.counter(name)));
-            json.push_str(if ci + 1 < BENCH_COUNTERS.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
+        push_counters(&mut json, &metrics);
         json.push_str("      },\n      \"histograms\": {\n");
         json.push_str(&format!(
             "        \"conflicts_per_restart\": {},\n",
@@ -957,17 +375,19 @@ fn bench(cli: &Cli, knobs: RunKnobs) {
 /// recorded as the speedup. The machine's core count rides along so the
 /// CI gate can require ≥1.3× only where four workers can actually run
 /// in parallel.
-fn bench_parallel(cli: &Cli, mut knobs: RunKnobs) {
+fn bench_parallel(cli: &Cli, mut opts: EvalOptions) {
     const BUDGETS: [usize; 2] = [1, 4];
     let out_path = cli.out.as_deref().unwrap_or("BENCH_parallel.json");
     let scale = cli.scale;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // The snapshot measures the parallel search core, so both legs run
-    // with the full machinery on (same knobs → same search plan): the
+    // with the full machinery on (same options → same search plan): the
     // budget alone decides whether procedure fan-out, portfolio races,
     // and cube lanes actually overlap.
-    knobs.portfolio = true;
-    knobs.cube_split = Some(knobs.cube_split.unwrap_or(2));
+    opts.analyzer.portfolio = true;
+    if cli.run.cube_split.is_none() {
+        opts.analyzer.cube_split = 2;
+    }
     println!(
         "== Parallel-search snapshot: fig8 best-of-{} at scale 1/{scale}, \
          search budgets {BUDGETS:?} ({cores} core(s)) ==\n",
@@ -975,9 +395,8 @@ fn bench_parallel(cli: &Cli, mut knobs: RunKnobs) {
     );
     let mut legs: Vec<(usize, f64, MetricsRegistry)> = Vec::new();
     for &budget in &BUDGETS {
-        let mut k = knobs;
-        k.search_threads = Some(budget);
-        let (wall, metrics) = bench_best_of(&[SuiteKind::Large], scale, k, cli.best_of);
+        opts.search_threads = budget;
+        let (wall, metrics) = bench_best_of(&[SuiteKind::Large], scale, opts, cli.best_of);
         println!(
             "fig8 --scale {scale} --search-threads {budget}: wall {wall:.3}s, {} queries, \
              {} conflicts",
@@ -1019,14 +438,7 @@ fn bench_parallel(cli: &Cli, mut knobs: RunKnobs) {
         json.push_str("      \"wall_s\": ");
         write_f64(&mut json, q(*wall));
         json.push_str(",\n      \"counters\": {\n");
-        for (ci, name) in BENCH_COUNTERS.iter().enumerate() {
-            json.push_str(&format!("        \"{name}\": {}", metrics.counter(name)));
-            json.push_str(if ci + 1 < BENCH_COUNTERS.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
+        push_counters(&mut json, metrics);
         json.push_str("      }\n    }");
         json.push_str(if li + 1 < legs.len() { ",\n" } else { "\n" });
     }
@@ -1063,50 +475,35 @@ fn trace_diff(cli: &Cli) {
     print!("{}", d.format(&cli.files[0], &cli.files[1], cli.top));
 }
 
-/// Escapes a string for a JSON literal in the `--report` document.
-fn json_esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `repro corpus run --report <path>`: the per-scenario JSON report CI
 /// uploads as an artifact when the gate fails.
 fn corpus_report(verdicts: &[acspec_corpus::ScenarioVerdict]) -> String {
+    let strings = |out: &mut String, items: &[String]| {
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write_str(out, item);
+        }
+        out.push(']');
+    };
     let mut s = String::from("{\n  \"schema\": 1,\n  \"scenarios\": [");
     for (i, v) in verdicts.iter().enumerate() {
         s.push_str(if i == 0 { "\n" } else { ",\n" });
-        let failures = v
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", json_esc(f)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let store_incidents = v
-            .store_incidents
-            .iter()
-            .map(|f| format!("\"{}\"", json_esc(f)))
-            .collect::<Vec<_>>()
-            .join(", ");
+        s.push_str("    {\"name\": ");
+        write_str(&mut s, &v.name);
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ok\": {}, \"warnings\": {}, \"queries\": {}, \
-             \"wall_ms\": {}, \"failures\": [{}], \"store_incidents\": [{}]}}",
-            json_esc(&v.name),
+            ", \"ok\": {}, \"warnings\": {}, \"queries\": {}, \"wall_ms\": {}, \"failures\": ",
             v.ok(),
             v.produced.warnings.len(),
             v.queries,
             v.wall_ms,
-            failures,
-            store_incidents
         ));
+        strings(&mut s, &v.failures);
+        s.push_str(", \"store_incidents\": ");
+        strings(&mut s, &v.store_incidents);
+        s.push('}');
     }
     if !verdicts.is_empty() {
         s.push_str("\n  ");
@@ -1197,14 +594,8 @@ fn corpus_cmd(cli: &Cli) {
             // content-addressed per procedure, so sharing is safe and a
             // second `corpus run --store-dir D` replays every base leg
             // warm (zero solver queries).
-            let store = cli.store_dir.as_ref().map(|dir| {
-                let chaos = (cli.store_chaos_seed.is_some() || cli.store_chaos_rate.is_some())
-                    .then(|| {
-                        ChaosConfig::new(
-                            cli.store_chaos_seed.unwrap_or(0),
-                            cli.store_chaos_rate.unwrap_or(0.0),
-                        )
-                    });
+            let store = cli.run.store_dir.as_ref().map(|dir| {
+                let chaos = chaos_config(cli.store_chaos_seed, cli.store_chaos_rate);
                 StoreSession::open_with_chaos(dir, chaos)
                     .unwrap_or_else(|e| usage_error(&format!("cannot open store {dir}: {e}")))
             });
@@ -1304,7 +695,11 @@ fn corpus_cmd(cli: &Cli) {
 /// `repro store <stat|gc|verify> --store-dir DIR`: maintenance over a
 /// persistent result store (see `crates/store` and DESIGN.md §4.9).
 fn store_cmd(cli: &Cli) {
-    let dir = cli.store_dir.as_deref().expect("validated by parse_args");
+    let dir = cli
+        .run
+        .store_dir
+        .as_deref()
+        .expect("validated by parse_args");
     let mut store = ResultStore::open(dir)
         .unwrap_or_else(|e| usage_error(&format!("cannot open store {dir}: {e}")));
     let action = cli
@@ -1390,8 +785,7 @@ fn store_cmd(cli: &Cli) {
 
 /// Runs the Figure 9 evaluation workload (large benchmarks) silently,
 /// feeding the observer — the data source for `repro profile`.
-fn fig9_workload(scale: usize, observer: &mut dyn SessionObserver, knobs: RunKnobs) {
-    let opts = eval_opts(knobs);
+fn fig9_workload(scale: usize, observer: &mut dyn SessionObserver, opts: EvalOptions) {
     for e in entries(&[SuiteKind::Large]) {
         let bm = generate_entry(e, scale);
         let _ = evaluate_with(&bm, &opts, observer);
@@ -1687,10 +1081,9 @@ fn eval_entries(
     kinds: &[SuiteKind],
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) -> Vec<(Benchmark, BenchEval)> {
-    let opts = eval_opts(knobs);
     entries(kinds)
         .into_iter()
         .map(|e| {
@@ -1706,7 +1099,7 @@ fn eval_entries(
 fn fig6(
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) {
     println!("== Figure 6: abstract configurations × clause pruning (small benchmarks, scale 1/{scale}) ==\n");
@@ -1714,7 +1107,7 @@ fn fig6(
         &[SuiteKind::Samate, SuiteKind::Small],
         scale,
         observer,
-        knobs,
+        opts,
         certs,
     );
     let mut rows = Vec::new();
@@ -1758,11 +1151,11 @@ fn fig6(
 fn fig7(
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) {
     println!("== Figure 7: classification on labeled SAMATE corpora (scale 1/{scale}) ==\n");
-    let evals = eval_entries(&[SuiteKind::Samate], scale, observer, knobs, certs);
+    let evals = eval_entries(&[SuiteKind::Samate], scale, observer, opts, certs);
     let mut rows = Vec::new();
     let mut totals = [(0usize, 0usize, 0usize); 4];
     for (bm, ev) in &evals {
@@ -1817,11 +1210,11 @@ fn fig7(
 fn fig8(
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) {
     println!("== Figure 8: abstract configurations on large benchmarks (scale 1/{scale}) ==\n");
-    let evals = eval_entries(&[SuiteKind::Large], scale, observer, knobs, certs);
+    let evals = eval_entries(&[SuiteKind::Large], scale, observer, opts, certs);
     let mut rows = Vec::new();
     let mut tot = [0usize; 7];
     for (bm, ev) in &evals {
@@ -1859,11 +1252,10 @@ fn fig8(
 fn fig9(
     scale: usize,
     observer: &mut dyn SessionObserver,
-    knobs: RunKnobs,
+    opts: EvalOptions,
     certs: &mut Vec<ProcCerts>,
 ) {
     println!("== Figure 9: per-procedure averages on large benchmarks (scale 1/{scale}) ==\n");
-    let opts = eval_opts(knobs);
     let mut totals = StageTotals::default();
     let evals: Vec<(Benchmark, BenchEval)> = entries(&[SuiteKind::Large])
         .into_iter()

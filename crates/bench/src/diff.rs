@@ -9,13 +9,12 @@
 //! as the first path present in only one trace or whose solver-query
 //! outcome sequence differs.
 //!
-//! Parsing uses [`acspec_telemetry::json::parse`] (the crate's own
-//! JSON reader), so the binary stays dependency-free.
+//! Parsing uses the workspace's one JSON reader outside the checker,
+//! [`serde_json::from_str`].
 
 use std::collections::HashMap;
 
-use acspec_telemetry::json::parse;
-use acspec_telemetry::Json;
+use serde_json::Value;
 
 use crate::format_table;
 
@@ -58,10 +57,10 @@ fn name_attr(kind: &str) -> Option<&'static str> {
     }
 }
 
-fn attr_u64(attrs: Option<&Json>, key: &str) -> u64 {
+fn attr_u64(attrs: Option<&Value>, key: &str) -> u64 {
     attrs
         .and_then(|a| a.get(key))
-        .and_then(Json::as_u64)
+        .and_then(Value::as_u64)
         .unwrap_or(0)
 }
 
@@ -84,32 +83,32 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = parse(line).map_err(|e| format!("line {}: {e}", n + 1))?;
-        match v.get("type").and_then(Json::as_str) {
+        let v = serde_json::from_str(line).map_err(|e| format!("line {}: {e}", n + 1))?;
+        match v.get("type").and_then(Value::as_str) {
             Some("trace") => {
                 out.command = v
                     .get("manifest")
                     .and_then(|m| m.get("command"))
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     .map(str::to_string);
             }
             Some("span") => {
                 let id = v
                     .get("id")
-                    .and_then(Json::as_u64)
+                    .and_then(Value::as_u64)
                     .ok_or_else(|| format!("line {}: span without an id", n + 1))?;
                 let kind = v
                     .get("kind")
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     .unwrap_or("?")
                     .to_string();
                 let attrs = v.get("attrs");
                 let component = name_attr(&kind)
-                    .and_then(|a| attrs.and_then(|at| at.get(a)).and_then(Json::as_str))
+                    .and_then(|a| attrs.and_then(|at| at.get(a)).and_then(Value::as_str))
                     .map_or_else(|| kind.clone(), |name| format!("{kind} {name}"));
                 let parent_path = v
                     .get("parent")
-                    .and_then(Json::as_u64)
+                    .and_then(Value::as_u64)
                     .and_then(|p| index_of.get(&p))
                     .map(|&i| out.spans[i].path.clone());
                 let base = match parent_path {
@@ -127,7 +126,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
                 out.spans.push(DiffSpan {
                     path,
                     kind,
-                    seconds: v.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
+                    seconds: v.get("seconds").and_then(Value::as_f64).unwrap_or(0.0),
                     queries: attr_u64(attrs, "queries"),
                     cache_hits: attr_u64(attrs, "cache_hits"),
                     outcomes: Vec::new(),
@@ -137,7 +136,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             Some("event") => {
                 let Some(&i) = v
                     .get("span")
-                    .and_then(Json::as_u64)
+                    .and_then(Value::as_u64)
                     .and_then(|s| index_of.get(&s))
                 else {
                     continue; // event for a span we never saw
@@ -145,7 +144,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
                 let attrs = v.get("attrs");
                 let outcome = attrs
                     .and_then(|a| a.get("outcome"))
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     .unwrap_or("?");
                 out.spans[i].outcomes.push(outcome.to_string());
                 out.spans[i].conflicts += attr_u64(attrs, "conflicts");

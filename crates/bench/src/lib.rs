@@ -10,6 +10,7 @@
 //! warning counts and reported in the "TO" column — both exactly as the
 //! paper does (§5).
 
+pub mod cli;
 pub mod diff;
 
 use std::collections::BTreeSet;

@@ -8,7 +8,7 @@
 //! [`doc::Cert`]: a `Sat` certificate carries a full first-order model,
 //! an `Unsat` certificate carries a replayable propositional proof. This
 //! crate re-validates that document **without sharing any code with the
-//! engine** — its own JSON parser ([`json`]), its own term evaluator
+//! engine** — its own private JSON parser, its own term evaluator
 //! ([`eval`]), its own unit propagator ([`proof`]).
 //!
 //! # What is re-derived vs. trusted
@@ -37,7 +37,7 @@
 
 pub mod doc;
 pub mod eval;
-pub mod json;
+mod json;
 pub mod proof;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -70,6 +70,31 @@ impl CheckSummary {
     /// True when the document validated completely.
     pub fn ok(&self) -> bool {
         self.errors.is_empty()
+    }
+}
+
+/// Where the certificates of a document handed to `acspec check` are:
+/// in the document itself when it is a `--certs-out` sidecar
+/// (`Ok(None)`), or in the sidecar a `--format json` report names in its
+/// `certs_ref` (`Ok(Some(certs_ref))`).
+///
+/// # Errors
+///
+/// Malformed JSON, a report without `certs_ref`, or a document that is
+/// neither a sidecar nor a report.
+pub fn certs_ref(text: &str) -> Result<Option<String>, String> {
+    let top = json::parse(text)?;
+    if top.get("procs").is_some() {
+        Ok(None)
+    } else if top.get("reports").is_some() {
+        top.get("certs_ref")
+            .and_then(json::Value::str)
+            .map(|r| Some(r.to_string()))
+            .ok_or_else(|| {
+                "report has no `certs_ref`; re-run the analysis with --certs-out".to_string()
+            })
+    } else {
+        Err("neither a certificate document (`procs`) nor a report (`reports`)".to_string())
     }
 }
 

@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 
 use acspec_ir::locs::LocId;
 use acspec_ir::stmt::AssertId;
+use acspec_telemetry::json::write_str;
 use acspec_vcgen::{CertEvent, CertOutcome, CertStore, CertTag, QueryCert, TermNode};
 
 use crate::report::REPORT_SCHEMA_VERSION;
@@ -201,21 +202,10 @@ impl ProcCerts {
 // JSON emission
 // ---------------------------------------------------------------------
 
-pub(crate) fn esc(s: &str) -> String {
+/// `s` as a JSON string literal, quotes included.
+pub(crate) fn quoted(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    write_str(&mut out, s);
     out
 }
 
@@ -228,7 +218,7 @@ fn term_json(node: &TermNode) -> String {
     match node {
         TermNode::True => "[\"true\"]".into(),
         TermNode::False => "[\"false\"]".into(),
-        TermNode::BoolVar(n) => format!("[\"bool_var\",\"{}\"]", esc(n)),
+        TermNode::BoolVar(n) => format!("[\"bool_var\",{}]", quoted(n)),
         TermNode::Not(a) => format!("[\"not\",{a}]"),
         TermNode::And(ps) => format!("[\"and\",[{}]]", ids(ps)),
         TermNode::Or(ps) => format!("[\"or\",[{}]]", ids(ps)),
@@ -237,14 +227,14 @@ fn term_json(node: &TermNode) -> String {
         TermNode::Eq(a, b) => format!("[\"eq\",{a},{b}]"),
         TermNode::Le(a, b) => format!("[\"le\",{a},{b}]"),
         TermNode::Lt(a, b) => format!("[\"lt\",{a},{b}]"),
-        TermNode::IntVar(n) => format!("[\"int_var\",\"{}\"]", esc(n)),
+        TermNode::IntVar(n) => format!("[\"int_var\",{}]", quoted(n)),
         TermNode::IntConst(c) => format!("[\"int_const\",{c}]"),
         TermNode::Add(ps) => format!("[\"add\",[{}]]", ids(ps)),
         TermNode::MulC(c, a) => format!("[\"mulc\",{c},{a}]"),
-        TermNode::App(f, ps) => format!("[\"app\",\"{}\",[{}]]", esc(f), ids(ps)),
+        TermNode::App(f, ps) => format!("[\"app\",{},[{}]]", quoted(f), ids(ps)),
         TermNode::Read(m, i) => format!("[\"read\",{m},{i}]"),
         TermNode::Write(m, i, v) => format!("[\"write\",{m},{i},{v}]"),
-        TermNode::MapVar(n) => format!("[\"map_var\",\"{}\"]", esc(n)),
+        TermNode::MapVar(n) => format!("[\"map_var\",{}]", quoted(n)),
         TermNode::Ite(c, a, b) => format!("[\"ite\",{c},{a},{b}]"),
     }
 }
@@ -282,13 +272,13 @@ fn cert_json(cert: &QueryCert) -> String {
             let ints = model
                 .ints
                 .iter()
-                .map(|(n, v)| format!("\"{}\":{v}", esc(n)))
+                .map(|(n, v)| format!("{}:{v}", quoted(n)))
                 .collect::<Vec<_>>()
                 .join(",");
             let bools = model
                 .bools
                 .iter()
-                .map(|(n, v)| format!("\"{}\":{v}", esc(n)))
+                .map(|(n, v)| format!("{}:{v}", quoted(n)))
                 .collect::<Vec<_>>()
                 .join(",");
             let maps = model
@@ -296,8 +286,8 @@ fn cert_json(cert: &QueryCert) -> String {
                 .iter()
                 .map(|(n, mv)| {
                     format!(
-                        "\"{}\":{{\"default\":{},\"entries\":[{}]}}",
-                        esc(n),
+                        "{}:{{\"default\":{},\"entries\":[{}]}}",
+                        quoted(n),
                         mv.default,
                         mv.entries
                             .iter()
@@ -313,8 +303,8 @@ fn cert_json(cert: &QueryCert) -> String {
                 .iter()
                 .map(|(n, fv)| {
                     format!(
-                        "\"{}\":{{\"default\":{},\"entries\":[{}]}}",
-                        esc(n),
+                        "{}:{{\"default\":{},\"entries\":[{}]}}",
+                        quoted(n),
                         fv.default,
                         fv.entries
                             .iter()
@@ -361,14 +351,14 @@ fn cert_json(cert: &QueryCert) -> String {
 
 fn claim_json(claim: &Claim) -> String {
     let mut s = format!(
-        "{{\"label\":\"{}\",\"kind\":\"{}\",\"expect\":\"{}\"",
-        esc(&claim.label),
+        "{{\"label\":{},\"kind\":\"{}\",\"expect\":\"{}\"",
+        quoted(&claim.label),
         claim.kind.name(),
         claim.kind.expect()
     );
     match &claim.kind {
         ClaimKind::CanFail { assert, tag } | ClaimKind::CannotFail { assert, tag } => {
-            let _ = write!(s, ",\"assert\":\"{assert}\",\"tag\":\"{}\"", esc(tag));
+            let _ = write!(s, ",\"assert\":\"{assert}\",\"tag\":{}", quoted(tag));
         }
         ClaimKind::BaselineDead { loc } => {
             let _ = write!(s, ",\"loc\":{}", loc.0);
@@ -384,9 +374,9 @@ fn claim_json(claim: &Claim) -> String {
         ClaimKind::SpecFails { spec, assert, tag } | ClaimKind::SpecHolds { spec, assert, tag } => {
             let _ = write!(
                 s,
-                ",\"spec\":\"{}\",\"assert\":\"{assert}\",\"tag\":\"{}\"",
-                esc(spec),
-                esc(tag)
+                ",\"spec\":{},\"assert\":\"{assert}\",\"tag\":{}",
+                quoted(spec),
+                quoted(tag)
             );
         }
     }
@@ -416,8 +406,8 @@ fn evidence_json(ev: &StepEvidence) -> String {
 
 fn chain_json(chain: &ChainRecord) -> String {
     format!(
-        "{{\"label\":\"{}\",\"spec\":[{}],\"steps\":[{}]}}",
-        esc(&chain.label),
+        "{{\"label\":{},\"spec\":[{}],\"steps\":[{}]}}",
+        quoted(&chain.label),
         join(&chain.spec, u32::to_string),
         join(&chain.steps, |st| format!(
             "{{\"subset\":[{}],\"removed\":{},\"evidence\":{}}}",
@@ -458,8 +448,8 @@ fn proc_json(pc: &ProcCerts) -> String {
         .collect::<Vec<_>>()
         .join(",");
     format!(
-        "{{\"proc_name\":\"{}\",\"terms\":{{{terms}}},\"asserts\":[{}],\"certs\":[{}],\"claims\":[{}],\"chains\":[{}]}}",
-        esc(&pc.proc_name),
+        "{{\"proc_name\":{},\"terms\":{{{terms}}},\"asserts\":[{}],\"certs\":[{}],\"claims\":[{}],\"chains\":[{}]}}",
+        quoted(&pc.proc_name),
         join(&pc.store.asserts, u32::to_string),
         join(&pc.store.certs, cert_json),
         join(&pc.claims, claim_json),
@@ -508,7 +498,7 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

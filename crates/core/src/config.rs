@@ -7,9 +7,10 @@ use acspec_vcgen::analyzer::AnalyzerConfig;
 /// The named abstract configurations (Figure 4): the product of the
 /// *ignore conditionals* and *havoc returns* abstractions. Arrows flow
 /// from higher precision to lower: `Conc → A0/A1 → A2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ConfigName {
-    /// Neither abstraction: concrete SIBs (§4.4.1).
+    /// Neither abstraction: concrete SIBs (§4.4.1). The default.
+    #[default]
     Conc,
     /// Havoc returns only (§4.4.3).
     A0,

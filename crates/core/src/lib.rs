@@ -49,6 +49,7 @@ pub mod fingerprint;
 pub mod interproc;
 pub mod persist;
 pub mod report;
+pub mod run_flags;
 pub mod search;
 pub mod session;
 pub mod telemetry;
@@ -68,6 +69,7 @@ pub use report::{
     IncidentKind, ProcReport, ProcStats, ReportLabel, SibStatus, Warning, Witness,
     REPORT_SCHEMA_VERSION,
 };
+pub use run_flags::RunFlags;
 pub use search::{
     find_almost_correct_specs, find_almost_correct_specs_salvaging, find_almost_correct_specs_with,
     DeadCheck, SearchOutcome,

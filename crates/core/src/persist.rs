@@ -54,7 +54,7 @@ use acspec_vcgen::chaos::{ChaosConfig, ChaosStoreStats};
 use acspec_vcgen::stage::{Stage, StageTable};
 use serde_json::Value;
 
-use crate::certs::esc;
+use crate::certs::quoted;
 use crate::config::{AcspecOptions, ConfigName};
 use crate::report::{
     AnalysisOutcome, Fallback, ProcReport, ProcStats, ReportLabel, SibStatus, Warning, Witness,
@@ -85,7 +85,7 @@ pub fn entry_key(fingerprint: &str, options: &str) -> String {
 /// budget (`--search-threads`) is excluded for the same reason —
 /// portfolio races and cube workers merge deterministically, so a warm
 /// store recorded under one budget replays under any other. (The
-/// `portfolio`/`cube_split`/`restart_base` *analyzer* knobs, by
+/// `portfolio`/`cube_split` *analyzer* knobs, by
 /// contrast, can change query counts or witness models and are digested
 /// via `base.analyzer`'s `Debug` form.)
 pub fn options_digest(
@@ -109,11 +109,6 @@ pub fn options_digest(
 // has no serializer, and the repo's certificate sidecars already use
 // this idiom — see `certs.rs`).
 // ---------------------------------------------------------------------
-
-/// `esc` escapes content only; JSON string literals need the quotes.
-fn quoted(s: &str) -> String {
-    format!("\"{}\"", esc(s))
-}
 
 fn push_witness(out: &mut String, w: &Witness) {
     out.push('{');

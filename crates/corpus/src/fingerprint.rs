@@ -11,7 +11,8 @@
 
 use std::collections::BTreeMap;
 
-use acspec_check::json;
+use acspec_telemetry::json::write_str;
+use serde_json::Value;
 
 /// The abstraction-level names a fingerprint can carry, in ladder order:
 /// the three evaluated configurations plus `Cons` for warnings only the
@@ -70,21 +71,6 @@ pub struct Oracle {
     pub warnings: Vec<WarningFingerprint>,
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Oracle {
     /// Sorts the fingerprints into the canonical (proc, tag, …) order.
     pub fn normalize(&mut self) {
@@ -99,14 +85,16 @@ impl Oracle {
         let mut s = String::from("{\n  \"schema\": 1,\n  \"warnings\": [");
         for (i, w) in self.warnings.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"proc\": \"{}\", \"kind\": \"{}\", \"tag\": \"{}\", \"level\": \"{}\", \"min_fail\": {}}}",
-                esc(&w.proc),
-                esc(&w.kind),
-                esc(&w.tag),
-                esc(&w.level),
-                w.min_fail
-            ));
+            for (key, value) in [
+                ("    {\"proc\": ", &w.proc),
+                (", \"kind\": ", &w.kind),
+                (", \"tag\": ", &w.tag),
+                (", \"level\": ", &w.level),
+            ] {
+                s.push_str(key);
+                write_str(&mut s, value);
+            }
+            s.push_str(&format!(", \"min_fail\": {}}}", w.min_fail));
         }
         if !self.warnings.is_empty() {
             s.push_str("\n  ");
@@ -123,23 +111,23 @@ impl Oracle {
     ///
     /// Returns a message naming the offending field.
     pub fn parse(text: &str) -> Result<Oracle, String> {
-        let v = json::parse(text)?;
+        let v = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let schema = v
             .get("schema")
-            .and_then(json::Value::int)
+            .and_then(Value::as_i64)
             .ok_or("missing integer field `schema`")?;
         if schema != 1 {
             return Err(format!("unsupported oracle schema {schema} (expected 1)"));
         }
         let warnings = v
             .get("warnings")
-            .and_then(json::Value::arr)
+            .and_then(Value::as_array)
             .ok_or("missing array field `warnings`")?;
         let mut out = Oracle::default();
         for (i, w) in warnings.iter().enumerate() {
             let field = |name: &str| -> Result<&str, String> {
                 w.get(name)
-                    .and_then(json::Value::str)
+                    .and_then(Value::as_str)
                     .ok_or(format!("warning {i}: missing string field `{name}`"))
             };
             let proc = field("proc")?;
@@ -152,7 +140,8 @@ impl Oracle {
             }
             let min_fail = w
                 .get("min_fail")
-                .and_then(json::Value::usize)
+                .and_then(Value::as_u64)
+                .and_then(|n| usize::try_from(n).ok())
                 .ok_or(format!("warning {i}: missing integer field `min_fail`"))?;
             out.warnings
                 .push(WarningFingerprint::new(proc, tag, level, min_fail));

@@ -30,7 +30,6 @@ pub use runner::{
     BASE_LEG, DIFF_LEGS,
 };
 
-use acspec_check::json;
 use acspec_ir::Program;
 
 /// Per-scenario resource ceilings (`budget.json`).
@@ -52,11 +51,10 @@ impl Budget {
     ///
     /// Returns a message naming the missing or malformed field.
     pub fn parse(text: &str) -> Result<Budget, String> {
-        let v = json::parse(text)?;
+        let v = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let field = |name: &str| -> Result<u64, String> {
             v.get(name)
-                .and_then(json::Value::int)
-                .and_then(|i| u64::try_from(i).ok())
+                .and_then(serde_json::Value::as_u64)
                 .ok_or(format!("missing unsigned integer field `{name}`"))
         };
         Ok(Budget {

@@ -619,12 +619,6 @@ impl Sat {
         &self.final_core
     }
 
-    /// Sets the Luby restart base interval (restart interval `i` spans
-    /// `luby(i) * base` conflicts). `base = 0` is clamped to 1.
-    pub fn set_restart_base(&mut self, base: u64) {
-        self.restart_base = base.max(1);
-    }
-
     /// The current Luby restart base interval.
     pub fn restart_base(&self) -> u64 {
         self.restart_base

@@ -140,9 +140,6 @@ pub struct SolverConfig {
     pub max_theory_rounds: u64,
     /// Maximum integer branch lemmas per `check` before `Unknown`.
     pub max_branch_lemmas: u64,
-    /// Luby restart base interval for the SAT core (see
-    /// [`Sat::DEFAULT_RESTART_BASE`]).
-    pub restart_base: u64,
 }
 
 impl Default for SolverConfig {
@@ -151,7 +148,6 @@ impl Default for SolverConfig {
             sat_conflict_budget: None,
             max_theory_rounds: 100_000,
             max_branch_lemmas: 2_000,
-            restart_base: Sat::DEFAULT_RESTART_BASE,
         }
     }
 }
@@ -247,10 +243,8 @@ impl Solver {
 
     /// Creates a solver with the given configuration.
     pub fn with_config(config: SolverConfig) -> Solver {
-        let mut sat = Sat::new();
-        sat.set_restart_base(config.restart_base);
         Solver {
-            sat,
+            sat: Sat::new(),
             config,
             lit_of: HashMap::new(),
             atom_of_var: Vec::new(),

@@ -138,282 +138,6 @@ pub fn write_attrs(out: &mut String, attrs: &[(&'static str, Value)]) {
     out.push('}');
 }
 
-/// A parsed JSON value (see [`parse`]). The dual of the writer above:
-/// trace analysis (`repro trace-diff`) must read the JSONL sinks back
-/// without pulling a JSON dependency into the binary, so this crate
-/// carries the matching reader.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as `f64`, which covers every value the
-    /// writer emits).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, fields in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// The value of an object field (first occurrence), if this is an
-    /// object containing it.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as `u64`, if this is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON parse error with the byte offset where parsing failed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonError {
-    /// Byte offset into the input.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: &'static str,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses one JSON document (trailing whitespace allowed, anything
-/// else after the value is an error).
-pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        b: input.as_bytes(),
-        i: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing garbage after document"));
-    }
-    Ok(v)
-}
-
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &'static str) -> JsonError {
-        JsonError {
-            offset: self.i,
-            message,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&c) = self.b.get(self.i) {
-            if c == b' ' || c == b'\t' || c == b'\n' || c == b'\r' {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn eat(&mut self, c: u8, message: &'static str) -> Result<(), JsonError> {
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(message))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &'static str, v: Json) -> Result<Json, JsonError> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err("malformed literal"))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.i;
-        while let Some(&c) = self.b.get(self.i) {
-            if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"', "expected string")?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("malformed \\u escape"))?;
-                            // Unpaired surrogates are replaced; the
-                            // writer never emits surrogate escapes.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Advance one whole UTF-8 scalar.
-                    let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'[', "expected array")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'{', "expected object")?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':', "expected ':'")?;
-            self.skip_ws();
-            let v = self.value(depth + 1)?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,36 +175,18 @@ mod tests {
         write_attrs(
             &mut out,
             &[
-                ("s", Value::Str("a\"b\\c\nd\u{1}".into())),
+                ("s", Value::Str("a\"b\\c\nd\r\t\u{1}".into())),
                 ("n", Value::U64(42)),
                 ("f", Value::F64(0.125)),
                 ("neg", Value::I64(-7)),
                 ("flag", Value::Bool(true)),
             ],
         );
-        let v = parse(&out).expect("writer output parses");
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b\\c\nd\u{1}"));
-        assert_eq!(v.get("n").and_then(Json::as_u64), Some(42));
-        assert_eq!(v.get("f").and_then(Json::as_f64), Some(0.125));
-        assert_eq!(v.get("neg").and_then(Json::as_f64), Some(-7.0));
-        assert_eq!(v.get("flag"), Some(&Json::Bool(true)));
-    }
-
-    #[test]
-    fn parser_handles_nesting_and_rejects_garbage() {
-        let v = parse(r#"{"a":[1,2,{"b":null}],"c":{"d":[]}}"#).expect("nested");
-        let arr = v.get("a").and_then(Json::as_arr).expect("array");
-        assert_eq!(arr.len(), 3);
-        assert_eq!(arr[2].get("b"), Some(&Json::Null));
-        assert_eq!(
-            v.get("c").and_then(|c| c.get("d")),
-            Some(&Json::Arr(vec![]))
-        );
-
-        for bad in ["{", "[1,]", "{\"a\":}", "tru", "1 2", "\"x", "{\"a\":1,}"] {
-            assert!(parse(bad).is_err(), "accepted malformed input: {bad}");
-        }
-        let err = parse("[1, @]").expect_err("bad token");
-        assert!(err.to_string().contains("byte 4"), "{err}");
+        let v = serde_json::from_str(&out).expect("writer output parses");
+        assert_eq!(v["s"], "a\"b\\c\nd\r\t\u{1}");
+        assert_eq!(v["n"], 42u64);
+        assert_eq!(v["f"].as_f64(), Some(0.125));
+        assert_eq!(v["neg"], -7i64);
+        assert_eq!(v["flag"], true);
     }
 }

@@ -32,7 +32,7 @@ pub mod metrics;
 pub mod perfetto;
 pub mod trace;
 
-pub use json::{Json, JsonError, Value};
+pub use json::Value;
 pub use metrics::{
     max_rss_kb, opt, BoundsMismatch, Histogram, Manifest, MetricsRegistry, LATENCY_BUCKETS,
     SCHEMA_VERSION,

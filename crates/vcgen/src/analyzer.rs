@@ -151,10 +151,6 @@ pub struct AnalyzerConfig {
     /// default) runs without the harness. With `Some` and `rate = 0.0`
     /// the analyzer behaves identically to `None`.
     pub chaos: Option<ChaosConfig>,
-    /// Luby restart base interval for every solver this analyzer builds
-    /// (the incremental solver, witness replays, cube workers). Part of
-    /// the options digest: changing it may change witness models.
-    pub restart_base: u64,
     /// Races diversified solver forks on hard verdict-only queries
     /// ([`acspec_smt::Solver::check_portfolio`]). Off by default.
     /// Verdicts, merged counters, and reports are independent of thread
@@ -176,7 +172,6 @@ impl Default for AnalyzerConfig {
                 .map_or(true, |v| v.is_empty() || v == "0"),
             deadline: None,
             chaos: None,
-            restart_base: SolverConfig::default().restart_base,
             portfolio: false,
             cube_split: 0,
         }
@@ -427,10 +422,7 @@ impl ProcAnalyzer {
     ) -> Result<ProcAnalyzer, TranslateError> {
         let encode_start = std::time::Instant::now();
         let mut ctx = Ctx::new();
-        let solver_config = SolverConfig {
-            restart_base: config.restart_base.max(1),
-            ..SolverConfig::default()
-        };
+        let solver_config = SolverConfig::default();
         let mut solver = Solver::with_config(solver_config);
 
         // Initial incarnations: every named variable (params, returns,

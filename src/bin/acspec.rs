@@ -11,29 +11,16 @@
 //!   --all-configs              analyze under all four configurations
 //!   --specs                    print the almost-correct specifications
 //!   --format <text|json>       output format (default text)
-//!   --triage                    rank all warnings by confidence
-//!   --trace-out <path>         write a JSONL span trace of the run
-//!   --metrics-out <path>       write a JSON metrics snapshot
-//!   --certs-out <path>         write a certificate sidecar; the report
-//!                              gains a `certs_ref` pointing at it
-//!   --no-query-cache           disable the monotone query cache
-//!   --deadline <secs>          wall-clock deadline per procedure+config
-//!   --chaos-seed <u64>         deterministic fault-injection seed
-//!   --chaos-rate <p>           fault probability per solver query (0..1)
-//!   --store-dir <path>         persistent result store: unchanged
-//!                              procedures are re-emitted byte-identically
-//!                              with zero solver queries (corrupt entries
-//!                              are quarantined and recomputed)
-//!   --no-store                 ignore --store-dir (cold run)
-//!   --search-threads <n>       worker budget shared by procedure
-//!                              fan-out and in-query parallelism
-//!                              (results are byte-identical at any n)
-//!   --portfolio                race diversified solver forks on hard
-//!                              verdict queries (deterministic merge)
-//!   --cube-split <k>           cube-and-conquer ALL-SAT over 2^k cubes
-//!                              for predicate covers
-//!   --restart-base <n>         CDCL Luby restart base interval
+//!   --triage                   rank all warnings by confidence
 //! ```
+//!
+//! plus the run flags shared with `repro` ([`acspec_core::run_flags`]):
+//! `--trace-out`, `--metrics-out`, `--certs-out` (the report gains a
+//! `certs_ref` pointing at the sidecar), `--no-query-cache`,
+//! `--deadline`, `--chaos-seed`, `--chaos-rate`, `--store-dir`
+//! (unchanged procedures are re-emitted byte-identically with zero
+//! solver queries; corrupt entries are quarantined and recomputed),
+//! `--search-threads`, `--portfolio` and `--cube-split`.
 //!
 //! `.c` inputs go through the HAVOC-style front end (null-dereference
 //! assertions are inserted automatically); anything else is parsed as
@@ -48,15 +35,16 @@
 
 use std::process::ExitCode;
 
+use acspec_core::run_flags::{flag_value, parse_flag};
 use acspec_core::{
     certs_json_from_fragments, infer_preconditions, program_report_json_with, triage_program,
     AcspecOptions, AnalysisOutcome, ConfigName, NullObserver, ProcOutcome, ProcReport,
-    ProgramAnalysis, SessionObserver, SibStatus, StoreSession, TelemetryObserver,
+    ProgramAnalysis, RunFlags, SessionObserver, SibStatus, StoreSession, TelemetryObserver,
 };
 use acspec_ir::Program;
 use acspec_telemetry::{opt, Manifest};
-use acspec_vcgen::chaos::ChaosConfig;
 
+#[derive(Default)]
 struct Cli {
     path: String,
     config: ConfigName,
@@ -67,188 +55,53 @@ struct Cli {
     show_specs: bool,
     json: bool,
     triage: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    certs_out: Option<String>,
-    query_cache: bool,
-    deadline: Option<f64>,
-    chaos_seed: Option<u64>,
-    chaos_rate: Option<f64>,
-    store_dir: Option<String>,
-    no_store: bool,
-    search_threads: Option<usize>,
-    portfolio: bool,
-    cube_split: Option<u32>,
-    restart_base: Option<u64>,
+    run: RunFlags,
 }
 
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        path: String::new(),
-        config: ConfigName::Conc,
-        prune: None,
-        cons: false,
-        interproc: false,
-        all_configs: false,
-        show_specs: false,
-        json: false,
-        triage: false,
-        trace_out: None,
-        metrics_out: None,
-        certs_out: None,
-        query_cache: true,
-        deadline: None,
-        chaos_seed: None,
-        chaos_rate: None,
-        store_dir: None,
-        no_store: false,
-        search_threads: None,
-        portfolio: false,
-        cube_split: None,
-        restart_base: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli::default();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let taken = cli.run.take(args, i)?;
+        if taken > 0 {
+            i += taken;
+            continue;
+        }
+        let arg = args[i].as_str();
+        let step = if matches!(arg, "--config" | "--prune" | "--format") {
+            2
+        } else {
+            1
+        };
+        match arg {
             "--config" => {
-                let v = args.get(i + 1).ok_or("--config needs a value")?;
-                cli.config = match v.as_str() {
+                cli.config = match flag_value(args, i, "one of Conc, A0, A1, A2")? {
                     "Conc" | "conc" => ConfigName::Conc,
                     "A0" | "a0" => ConfigName::A0,
                     "A1" | "a1" => ConfigName::A1,
                     "A2" | "a2" => ConfigName::A2,
                     other => return Err(format!("unknown config `{other}`")),
-                };
-                i += 2;
+                }
             }
-            "--prune" => {
-                let v = args.get(i + 1).ok_or("--prune needs a value")?;
-                cli.prune = Some(v.parse().map_err(|_| "--prune needs an integer")?);
-                i += 2;
-            }
-            "--cons" => {
-                cli.cons = true;
-                i += 1;
-            }
-            "--interproc" => {
-                cli.interproc = true;
-                i += 1;
-            }
-            "--all-configs" => {
-                cli.all_configs = true;
-                i += 1;
-            }
-            "--specs" => {
-                cli.show_specs = true;
-                i += 1;
-            }
-            "--triage" => {
-                cli.triage = true;
-                i += 1;
-            }
+            "--prune" => cli.prune = Some(parse_flag(args, i, "a non-negative integer", |_| true)?),
             "--format" => {
-                let v = args.get(i + 1).ok_or("--format needs a value")?;
-                cli.json = match v.as_str() {
+                cli.json = match flag_value(args, i, "one of text, json")? {
                     "json" => true,
                     "text" => false,
                     other => return Err(format!("unknown format `{other}`")),
-                };
-                i += 2;
-            }
-            "--trace-out" => {
-                let v = args.get(i + 1).ok_or("--trace-out needs a path")?;
-                cli.trace_out = Some(v.clone());
-                i += 2;
-            }
-            "--metrics-out" => {
-                let v = args.get(i + 1).ok_or("--metrics-out needs a path")?;
-                cli.metrics_out = Some(v.clone());
-                i += 2;
-            }
-            "--certs-out" => {
-                let v = args.get(i + 1).ok_or("--certs-out needs a path")?;
-                cli.certs_out = Some(v.clone());
-                i += 2;
-            }
-            "--no-query-cache" => {
-                cli.query_cache = false;
-                i += 1;
-            }
-            "--deadline" => {
-                let v = args.get(i + 1).ok_or("--deadline needs seconds")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| "--deadline needs a number of seconds")?;
-                if secs.is_nan() || secs < 0.0 {
-                    return Err("--deadline must be non-negative".into());
                 }
-                cli.deadline = Some(secs);
-                i += 2;
             }
-            "--chaos-seed" => {
-                let v = args.get(i + 1).ok_or("--chaos-seed needs a value")?;
-                cli.chaos_seed = Some(v.parse().map_err(|_| "--chaos-seed needs a u64")?);
-                i += 2;
-            }
-            "--chaos-rate" => {
-                let v = args.get(i + 1).ok_or("--chaos-rate needs a value")?;
-                let rate: f64 = v.parse().map_err(|_| "--chaos-rate needs a number")?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err("--chaos-rate must be in 0..=1".into());
-                }
-                cli.chaos_rate = Some(rate);
-                i += 2;
-            }
-            "--store-dir" => {
-                let v = args.get(i + 1).ok_or("--store-dir needs a path")?;
-                cli.store_dir = Some(v.clone());
-                i += 2;
-            }
-            "--no-store" => {
-                cli.no_store = true;
-                i += 1;
-            }
-            "--search-threads" => {
-                let v = args.get(i + 1).ok_or("--search-threads needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| "--search-threads needs a positive integer")?;
-                if n == 0 {
-                    return Err("--search-threads must be positive".into());
-                }
-                cli.search_threads = Some(n);
-                i += 2;
-            }
-            "--portfolio" => {
-                cli.portfolio = true;
-                i += 1;
-            }
-            "--cube-split" => {
-                let v = args.get(i + 1).ok_or("--cube-split needs a value")?;
-                cli.cube_split = Some(v.parse().map_err(|_| "--cube-split needs an integer")?);
-                i += 2;
-            }
-            "--restart-base" => {
-                let v = args.get(i + 1).ok_or("--restart-base needs a value")?;
-                let base: u64 = v
-                    .parse()
-                    .map_err(|_| "--restart-base needs a positive integer")?;
-                if base == 0 {
-                    return Err("--restart-base must be positive".into());
-                }
-                cli.restart_base = Some(base);
-                i += 2;
-            }
-            "--help" | "-h" => {
-                return Err(String::new());
-            }
-            other if cli.path.is_empty() && !other.starts_with('-') => {
-                cli.path = other.to_string();
-                i += 1;
-            }
+            "--cons" => cli.cons = true,
+            "--interproc" => cli.interproc = true,
+            "--all-configs" => cli.all_configs = true,
+            "--specs" => cli.show_specs = true,
+            "--triage" => cli.triage = true,
+            "--help" | "-h" => return Err(String::new()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            path if cli.path.is_empty() => cli.path = path.to_string(),
             other => return Err(format!("unexpected argument `{other}`")),
         }
+        i += step;
     }
     if cli.path.is_empty() {
         return Err("no input file".into());
@@ -310,24 +163,18 @@ fn run_check(args: &[String]) -> Result<bool, String> {
         _ => return Err("usage: acspec check <report.json | certs.json>".into()),
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
-    let top = acspec_check::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let (certs_path, certs_text) = if top.get("procs").is_some() {
-        (path.to_string(), text)
-    } else if top.get("reports").is_some() {
-        let r = top.get("certs_ref").and_then(|v| v.str()).ok_or_else(|| {
-            format!("{path}: report has no `certs_ref`; re-run the analysis with --certs-out")
-        })?;
-        let resolved = std::path::Path::new(path)
-            .parent()
-            .map_or_else(|| std::path::PathBuf::from(r), |d| d.join(r));
-        let resolved = resolved.to_string_lossy().into_owned();
-        let t = std::fs::read_to_string(&resolved)
-            .map_err(|e| format!("{resolved}: cannot read certs_ref target: {e}"))?;
-        (resolved, t)
-    } else {
-        return Err(format!(
-            "{path}: neither a certificate document (`procs`) nor a report (`reports`)"
-        ));
+    let certs_ref = acspec_check::certs_ref(&text).map_err(|e| format!("{path}: {e}"))?;
+    let (certs_path, certs_text) = match certs_ref {
+        None => (path.to_string(), text),
+        Some(r) => {
+            let resolved = std::path::Path::new(path)
+                .parent()
+                .map_or_else(|| std::path::PathBuf::from(&r), |d| d.join(&r));
+            let resolved = resolved.to_string_lossy().into_owned();
+            let t = std::fs::read_to_string(&resolved)
+                .map_err(|e| format!("{resolved}: cannot read certs_ref target: {e}"))?;
+            (resolved, t)
+        }
     };
     let summary = acspec_check::check_document(&certs_text);
     println!(
@@ -357,33 +204,14 @@ fn run() -> Result<bool, String> {
     if raw.first().map(String::as_str) == Some("check") {
         return run_check(&raw[1..]);
     }
-    let cli = parse_args()?;
+    let cli = parse_args(&raw)?;
     let mut program = load_program(&cli.path)?;
 
     let mut opts = AcspecOptions::for_config(cli.config);
     if let Some(k) = cli.prune {
         opts = opts.with_k_pruning(k);
     }
-    if !cli.query_cache {
-        opts.analyzer.query_cache = false;
-    }
-    if let Some(secs) = cli.deadline {
-        opts.analyzer.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
-    if cli.chaos_seed.is_some() || cli.chaos_rate.is_some() {
-        opts.analyzer.chaos = Some(ChaosConfig::new(
-            cli.chaos_seed.unwrap_or(0),
-            cli.chaos_rate.unwrap_or(0.0),
-        ));
-        silence_injected_panics();
-    }
-    opts.analyzer.portfolio = cli.portfolio;
-    if let Some(k) = cli.cube_split {
-        opts.analyzer.cube_split = k;
-    }
-    if let Some(base) = cli.restart_base {
-        opts.analyzer.restart_base = base;
-    }
+    cli.run.apply(&mut opts.analyzer);
 
     if cli.interproc {
         let inferred = infer_preconditions(&program, &opts).map_err(|e| e.to_string())?;
@@ -428,7 +256,7 @@ fn run() -> Result<bool, String> {
     // shared between the Cons baseline and every requested configuration.
     // Telemetry recording costs a per-query hook, so the observer is a
     // no-op unless a sink was requested.
-    let telemetry_on = cli.trace_out.is_some() || cli.metrics_out.is_some();
+    let telemetry_on = cli.run.telemetry_on();
     let mut null = NullObserver;
     let mut telemetry = TelemetryObserver::new();
     let observer: &mut dyn SessionObserver = if telemetry_on {
@@ -440,18 +268,20 @@ fn run() -> Result<bool, String> {
     // deadline (wall-clock timeouts make cached reports nondeterministic,
     // so ProgramAnalysis refuses the key anyway). When solver chaos is on,
     // the same seed and rate drive store-level I/O faults.
-    let store = match (&cli.store_dir, cli.no_store) {
-        (Some(dir), false) => Some(
+    let store = cli
+        .run
+        .store_dir
+        .as_deref()
+        .map(|dir| {
             StoreSession::open_with_chaos(std::path::Path::new(dir), opts.analyzer.chaos)
-                .map_err(|e| format!("cannot open store {dir}: {e}"))?,
-        ),
-        _ => None,
-    };
+                .map_err(|e| format!("cannot open store {dir}: {e}"))
+        })
+        .transpose()?;
     let mut results = ProgramAnalysis::new(&program)
         .options(opts)
         .configs(&configs)
-        .search_threads(cli.search_threads.unwrap_or(0))
-        .certify(cli.certs_out.is_some())
+        .search_threads(cli.run.search_threads.unwrap_or(0))
+        .certify(cli.run.certs_out.is_some())
         .store(store.as_ref())
         .run(observer);
 
@@ -467,7 +297,7 @@ fn run() -> Result<bool, String> {
             }
         }
     }
-    if let Some(path) = &cli.certs_out {
+    if let Some(path) = &cli.run.certs_out {
         std::fs::write(path, certs_json_from_fragments(&cert_fragments))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
@@ -476,29 +306,9 @@ fn run() -> Result<bool, String> {
         let mut options = vec![
             opt("prune", cli.prune.map_or("off".into(), |k| k.to_string())),
             opt("interproc", cli.interproc),
-            opt("query_cache", opts.analyzer.query_cache),
         ];
-        if let Some(secs) = cli.deadline {
-            options.push(opt("deadline_secs", secs));
-        }
-        if let Some(chaos) = opts.analyzer.chaos {
-            options.push(opt("chaos_seed", chaos.seed));
-            options.push(opt("chaos_rate", chaos.rate));
-        }
-        if cli.portfolio {
-            options.push(opt("portfolio", true));
-        }
-        if let Some(k) = cli.cube_split {
-            options.push(opt("cube_split", u64::from(k)));
-        }
-        if let Some(n) = cli.search_threads {
-            options.push(opt("search_threads", n as u64));
-        }
-        if let Some(base) = cli.restart_base {
-            options.push(opt("restart_base", base));
-        }
+        options.extend(cli.run.manifest_options(&opts.analyzer));
         if let Some(store) = &store {
-            options.push(opt("store_dir", cli.store_dir.clone().unwrap_or_default()));
             telemetry.record_store(&store.stats());
         }
         let manifest = Manifest {
@@ -510,11 +320,11 @@ fn run() -> Result<bool, String> {
             options,
         };
         let out = telemetry.finish();
-        if let Some(path) = &cli.trace_out {
+        if let Some(path) = &cli.run.trace_out {
             out.write_trace(path, Some(&manifest))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
         }
-        if let Some(path) = &cli.metrics_out {
+        if let Some(path) = &cli.run.metrics_out {
             out.write_metrics(path, Some(&manifest))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
         }
@@ -579,27 +389,10 @@ fn run() -> Result<bool, String> {
     if cli.json {
         println!(
             "{}",
-            program_report_json_with(&json_reports, &incidents, cli.certs_out.as_deref())
+            program_report_json_with(&json_reports, &incidents, cli.run.certs_out.as_deref())
         );
     }
     Ok(any_warning)
-}
-
-/// Keeps the default panic-hook backtrace off stderr for the panics
-/// the chaos harness injects on purpose — they are caught by the
-/// worker loop and reported as incidents. Real panics still reach the
-/// previous hook.
-fn silence_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.starts_with("chaos:"));
-        if !injected {
-            prev(info);
-        }
-    }));
 }
 
 fn main() -> ExitCode {
@@ -620,9 +413,8 @@ fn main() -> ExitCode {
                  [--cons] [--interproc] [--all-configs] [--specs] [--triage] \
                  [--format text|json] [--trace-out path] [--metrics-out path] \
                  [--certs-out path] [--no-query-cache] [--deadline secs] \
-                 [--chaos-seed n] [--chaos-rate p] [--store-dir path] [--no-store] \
-                 [--search-threads n] [--portfolio] [--cube-split k] \
-                 [--restart-base n]\n\
+                 [--chaos-seed n] [--chaos-rate p] [--store-dir dir] \
+                 [--search-threads n] [--portfolio] [--cube-split k]\n\
                  usage: acspec check <report.json | certs.json>"
             );
             ExitCode::from(2)
